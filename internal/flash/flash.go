@@ -24,6 +24,14 @@
 //
 // Both side channels are destroyed by an erase (or re-program) of the
 // page — the fragility Invisible Bits' Table 3 contrasts against.
+//
+// Analog state is kept per page and built the first time an analog
+// operation (erase, wear, programming a bit, a program-time measurement,
+// overcharge, margin read) touches the page; digital reads never build
+// one. A page built late takes exactly the values an eager build of the
+// whole array would have drawn for its bits, so device identity does not
+// depend on which pages were touched or in what order. Most arrays only
+// ever build the few firmware pages at the bottom of flash.
 package flash
 
 import (
@@ -88,44 +96,87 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// Array is a simulated NOR Flash.
+// Array is a simulated NOR Flash. Its digital contents are held flat;
+// its analog state (program time and Vt per bit) is held per page and
+// built on first touch from the identity stream.
 type Array struct {
 	spec Spec
 	data []byte // digital contents
 
-	progTimeUs []float32 // per-bit intrinsic program time
-	vt         []float32 // per-bit current threshold voltage
-	peCycles   []uint32  // per-page program/erase count
+	pages    []analogPage // per-page analog state, built on first touch
+	peCycles []uint32     // per-page program/erase count
+
+	// The identity stream draws one Norm per bit, pages in order. vary
+	// is positioned at the start of page varyPage; every earlier page
+	// has recorded its start state.
+	vary     rng.Source
+	varyPage int
 
 	noise *rng.Source
 }
 
-// New builds a fully erased array.
+// analogPage is one page's analog state, indexed by bit within the page.
+type analogPage struct {
+	start      rng.Source // identity stream state at the page's first bit
+	progTimeUs []float32  // intrinsic program time, plus wear; nil until built
+	vt         []float32  // current threshold voltage
+}
+
+// New builds a fully erased array. No analog state is drawn yet.
 func New(spec Spec) (*Array, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	bytes := spec.PageBytes * spec.Pages
-	bits := bytes * 8
 	a := &Array{
-		spec:       spec,
-		data:       make([]byte, bytes),
-		progTimeUs: make([]float32, bits),
-		vt:         make([]float32, bits),
-		peCycles:   make([]uint32, spec.Pages),
+		spec:     spec,
+		data:     make([]byte, spec.PageBytes*spec.Pages),
+		pages:    make([]analogPage, spec.Pages),
+		peCycles: make([]uint32, spec.Pages),
 	}
 	seedSrc := rng.NewSource(spec.Seed)
-	vary := seedSrc.Split()
+	a.vary = *seedSrc.Split()
 	a.noise = seedSrc.Split()
-	for i := range a.progTimeUs {
-		a.progTimeUs[i] = float32(spec.ProgramTimeMeanUs *
-			math.Exp(vary.NormScaled(0, spec.ProgramTimeSigma)))
-		a.vt[i] = float32(spec.VtErased)
-	}
 	for i := range a.data {
 		a.data[i] = 0xFF // erased state reads all-1s
 	}
 	return a, nil
+}
+
+// page returns page p's analog state, building it on first touch. The
+// identity stream is stepped forward through every earlier page not yet
+// passed (raw draws only, see rng.SkipNorm), recording each page's start
+// state, so page p gets the draws an eager in-order build would give it.
+func (a *Array) page(p int) *analogPage {
+	pg := &a.pages[p]
+	if pg.progTimeUs != nil {
+		return pg
+	}
+	bits := a.spec.PageBytes * 8
+	for ; a.varyPage <= p; a.varyPage++ {
+		a.pages[a.varyPage].start = a.vary
+		a.vary.SkipNorm(bits)
+	}
+	src := pg.start
+	pg.progTimeUs, pg.vt = make([]float32, bits), make([]float32, bits)
+	for i := range pg.progTimeUs {
+		pg.progTimeUs[i] = float32(a.spec.ProgramTimeMeanUs *
+			math.Exp(src.NormScaled(0, a.spec.ProgramTimeSigma)))
+		pg.vt[i] = float32(a.spec.VtErased)
+	}
+	return pg
+}
+
+// cell returns the page state holding bit and the bit's index within it.
+func (a *Array) cell(bit int) (*analogPage, int) {
+	bits := a.spec.PageBytes * 8
+	return a.page(bit / bits), bit % bits
+}
+
+func (a *Array) checkBit(bit int) error {
+	if bit < 0 || bit >= len(a.data)*8 {
+		return fmt.Errorf("flash: bit %d out of range", bit)
+	}
+	return nil
 }
 
 // Spec returns the construction parameters.
@@ -170,9 +221,9 @@ func (a *Array) ErasePage(page int) error {
 	for i := 0; i < a.spec.PageBytes; i++ {
 		a.data[base+i] = 0xFF
 	}
-	bitBase := base * 8
-	for b := 0; b < a.spec.PageBytes*8; b++ {
-		a.vt[bitBase+b] = float32(a.spec.VtErased)
+	vt := a.page(page).vt
+	for b := range vt {
+		vt[b] = float32(a.spec.VtErased)
 	}
 	a.wearPage(page, 1)
 	return nil
@@ -183,9 +234,9 @@ func (a *Array) ErasePage(page int) error {
 func (a *Array) wearPage(page, n int) {
 	a.peCycles[page] += uint32(n)
 	slow := float32(a.spec.WearSlowdownUsPerCycle * float64(n))
-	bitBase := page * a.spec.PageBytes * 8
-	for b := 0; b < a.spec.PageBytes*8; b++ {
-		a.progTimeUs[bitBase+b] += slow
+	pt := a.page(page).progTimeUs
+	for b := range pt {
+		pt[b] += slow
 	}
 }
 
@@ -201,12 +252,16 @@ func (a *Array) Program(off int, data []byte) (totalTimeUs float64, err error) {
 		old := a.data[off+i]
 		a.data[off+i] = old & b
 		cleared := old &^ b // bits going 1→0
+		if cleared == 0 {
+			continue
+		}
+		pg, base := a.cell((off + i) * 8)
 		for k := 0; k < 8; k++ {
 			if cleared&(1<<k) != 0 {
-				bit := (off+i)*8 + k
-				totalTimeUs += float64(a.progTimeUs[bit]) +
+				bit := base + k
+				totalTimeUs += float64(pg.progTimeUs[bit]) +
 					a.noise.NormScaled(0, a.spec.MeasureNoiseUs)
-				a.vt[bit] = float32(a.noise.NormScaled(a.spec.VtProgrammed, a.spec.VtSigma))
+				pg.vt[bit] = float32(a.noise.NormScaled(a.spec.VtProgrammed, a.spec.VtSigma))
 			}
 		}
 	}
@@ -236,10 +291,11 @@ func (a *Array) CycleBits(bits []int, n int) error {
 	}
 	slow := float32(a.spec.WearSlowdownUsPerCycle * float64(n))
 	for _, b := range bits {
-		if b < 0 || b >= len(a.progTimeUs) {
-			return fmt.Errorf("flash: bit %d out of range", b)
+		if err := a.checkBit(b); err != nil {
+			return err
 		}
-		a.progTimeUs[b] += slow
+		pg, i := a.cell(b)
+		pg.progTimeUs[i] += slow
 	}
 	return nil
 }
@@ -248,33 +304,36 @@ func (a *Array) CycleBits(bits []int, n int) error {
 // the (noisy) program time of one bit cell without altering digital
 // contents — the decode-side measurement of the Wang baseline.
 func (a *Array) MeasureProgramTime(bit int) (float64, error) {
-	if bit < 0 || bit >= len(a.progTimeUs) {
-		return 0, fmt.Errorf("flash: bit %d out of range", bit)
+	if err := a.checkBit(bit); err != nil {
+		return 0, err
 	}
-	return float64(a.progTimeUs[bit]) + a.noise.NormScaled(0, a.spec.MeasureNoiseUs), nil
+	pg, i := a.cell(bit)
+	return float64(pg.progTimeUs[i]) + a.noise.NormScaled(0, a.spec.MeasureNoiseUs), nil
 }
 
 // Overcharge pushes an already-programmed (0) bit to the higher Vt level
 // — the Zuck et al. encoding primitive. Overcharging an erased bit is an
 // error: it would flip the digital value and reveal the channel.
 func (a *Array) Overcharge(bit int) error {
-	if bit < 0 || bit >= len(a.vt) {
-		return fmt.Errorf("flash: bit %d out of range", bit)
+	if err := a.checkBit(bit); err != nil {
+		return err
 	}
 	if a.data[bit/8]&(1<<(bit%8)) != 0 {
 		return fmt.Errorf("flash: bit %d is erased; overcharge would corrupt public data", bit)
 	}
-	a.vt[bit] = float32(a.noise.NormScaled(a.spec.VtOvercharged, a.spec.VtSigma))
+	pg, i := a.cell(bit)
+	pg.vt[i] = float32(a.noise.NormScaled(a.spec.VtOvercharged, a.spec.VtSigma))
 	return nil
 }
 
 // MarginRead returns a noisy threshold-voltage measurement for a bit —
 // the decode-side primitive of the Zuck baseline.
 func (a *Array) MarginRead(bit int) (float64, error) {
-	if bit < 0 || bit >= len(a.vt) {
-		return 0, fmt.Errorf("flash: bit %d out of range", bit)
+	if err := a.checkBit(bit); err != nil {
+		return 0, err
 	}
-	return float64(a.vt[bit]) + a.noise.NormScaled(0, a.spec.MeasureNoiseV), nil
+	pg, i := a.cell(bit)
+	return float64(pg.vt[i]) + a.noise.NormScaled(0, a.spec.MeasureNoiseV), nil
 }
 
 // PECycles reports a page's program/erase count.

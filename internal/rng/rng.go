@@ -94,6 +94,18 @@ func (s *Source) NormScaled(mean, stddev float64) float64 {
 	return mean + stddev*s.Norm()
 }
 
+// SkipNorm advances s past n Norm draws without computing them. It
+// replays Norm's draw pattern — one uniform per rejected u == 0 retry,
+// the accepted u, then v — so the stream lands exactly where n Norm
+// calls would leave it.
+func (s *Source) SkipNorm(n int) {
+	for ; n > 0; n-- {
+		for s.Uint64()>>11 == 0 {
+		}
+		s.Uint64()
+	}
+}
+
 // Perm returns a pseudo-random permutation of [0, n) using Fisher–Yates.
 func (s *Source) Perm(n int) []int {
 	p := make([]int, n)

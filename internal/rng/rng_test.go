@@ -124,6 +124,30 @@ func TestNormScaled(t *testing.T) {
 	}
 }
 
+func TestSkipNormMatchesNorm(t *testing.T) {
+	// The state 0 - γ makes the next Uint64 return 0 (the SplitMix
+	// finalizer fixes 0), so the first Norm takes its u == 0 retry.
+	var gamma uint64 = 0x9e3779b97f4a7c15
+	for _, seed := range []uint64{0, 1, 7, -gamma} {
+		for _, n := range []int{0, 1, 3, 1000} {
+			drawn, skipped := NewSource(seed), NewSource(seed)
+			for i := 0; i < n; i++ {
+				drawn.Norm()
+			}
+			skipped.SkipNorm(n)
+			if *drawn != *skipped {
+				t.Fatalf("seed %#x: SkipNorm(%d) left state %#x, %d Norm calls left %#x",
+					seed, n, skipped.state, n, drawn.state)
+			}
+		}
+	}
+	retry := NewSource(-gamma)
+	retry.SkipNorm(1)
+	if retry.state != -gamma+3*gamma {
+		t.Fatal("u == 0 retry not replayed: SkipNorm(1) consumed fewer than 3 uniforms")
+	}
+}
+
 func TestPermIsPermutation(t *testing.T) {
 	s := NewSource(3)
 	f := func(nRaw uint8) bool {

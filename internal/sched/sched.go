@@ -265,6 +265,19 @@ type slotState struct {
 	record     *core.Record
 	finalImage string
 	finalClock float64
+
+	// shownApplied and shownEncoded are the progress Campaign reports:
+	// copies of applied and record != nil, published under s.mu when a
+	// pass is applied and on replay. During a pass the worker writes
+	// applied and record without the lock, so readers use these instead.
+	shownApplied float64
+	shownEncoded bool
+}
+
+// publish copies the slot's progress into the fields Campaign reads.
+// The caller holds s.mu and no pass worker owns the slot.
+func (sl *slotState) publish() {
+	sl.shownApplied, sl.shownEncoded = sl.applied, sl.record != nil
 }
 
 // newestCkpt returns the newest surviving checkpoint generation, or nil.
@@ -706,6 +719,7 @@ func (s *Scheduler) rebuildCampaign(id string, cr *CampaignReplay) (*campState, 
 			sl.record = sr.Record
 			sl.finalImage = sr.FinalImage
 			sl.finalClock = sr.FinalClock
+			sl.publish()
 		case sr.CkptImage != "":
 			sl.ckpts = append([]SlotCheckpoint(nil), sr.Ckpts...)
 			sl.preparedJournaled = true
@@ -1294,10 +1308,10 @@ func (s *Scheduler) Campaign(id string) (CampaignStatus, bool) {
 			continue
 		}
 		cs.TotalHours += total
-		if sl.record != nil {
+		if sl.shownEncoded {
 			cs.AppliedHours += total
 		} else {
-			cs.AppliedHours += sl.applied
+			cs.AppliedHours += sl.shownApplied
 		}
 	}
 	return cs, true

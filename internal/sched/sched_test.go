@@ -548,3 +548,55 @@ func TestSoakKillResume(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignPollDuringDrain polls Campaign — the /api/campaigns/{id}
+// read — while passes run. Slot workers own a slot's progress during a
+// pass, so under -race this fails if Campaign reads it directly. The
+// reported hours must never run backwards in a fault-free drain and
+// must end at the campaign's total.
+func TestCampaignPollDuringDrain(t *testing.T) {
+	s, err := New(t.TempDir(), Config{KeyFor: testKeyFor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"p-1", "p-2", "p-3"}
+	for i, id := range ids {
+		if err := s.Submit(miniSub("poller", id, []string{fmt.Sprintf("pl-%d", i)}, 7.5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	drained := make(chan error, 1)
+	go func() { drained <- s.Drain(ctx) }()
+	last := map[string]float64{}
+	polls := 0
+	for done := false; !done; {
+		select {
+		case err := <-drained:
+			if err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			done = true
+		default:
+		}
+		for _, id := range ids {
+			cs, ok := s.Campaign(id)
+			if !ok {
+				t.Fatalf("campaign %s unknown", id)
+			}
+			if cs.AppliedHours < last[id] || cs.AppliedHours > cs.TotalHours {
+				t.Fatalf("campaign %s: applied %v h after %v h (total %v h)", id, cs.AppliedHours, last[id], cs.TotalHours)
+			}
+			last[id] = cs.AppliedHours
+			polls++
+		}
+	}
+	for _, id := range ids {
+		cs, _ := s.Campaign(id)
+		if cs.State != "done" || cs.AppliedHours != cs.TotalHours {
+			t.Fatalf("campaign %s after drain: %+v", id, cs)
+		}
+	}
+	t.Logf("%d polls", polls)
+}
