@@ -1,496 +1,249 @@
-// Command ibbench runs the hot-path benchmark grids — captures,
-// power-on races, aging soaks, and pruning ratios — through
-// testing.Benchmark and records the trajectory as BENCH_4.json. Every
-// optimized number is paired with the BENCH_3-era engine (serial,
-// unpruned, per-cell GrowShift aging) timed on the same host in the
-// same process, so `speedup_vs_legacy` is a like-for-like measurement,
-// not a cross-machine comparison.
-//
-// Before timing, the harness cross-checks equivalence: within each
-// noise-plane version the optimized capture engine must be bit-identical
-// to the reference engine (pruning and sharding are exact, not
-// approximate), and the equivalent-time aging engine must agree with
-// per-cell GrowShift to float rounding. Speed without equivalence is
-// not a result — any violation aborts the run.
+// Command ibbench is the hot-path benchmark runner: one table of grids
+// timed into one report schema, invisiblebits/bench/v8, with the host
+// shape. One gate pass runs before any timing, at every width in
+// -workers (captureGate, decodeGate); a violation exits non-zero, so a
+// report whose certificate keys read true proves the gates ran. Each
+// row's baseline is the older implementation it replaced, timed in the
+// same process; the retired scalar capture engine's column is joined by
+// row name from BENCH_6.json instead of re-run.
 //
 // Usage:
 //
-//	ibbench                        # grid at workers {1, GOMAXPROCS}
-//	ibbench -workers 1,2,4,8       # explicit worker grid
-//	ibbench -o BENCH_4.json
+//	ibbench -workers 1,2 -o BENCH_8.json # full table (default widths: 1 and GOMAXPROCS)
+//	ibbench -grid capture,votes-into     # a subset of the table
+//	ibbench -quick -workers 1,2,4        # CI: every gate, minimal grid points
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-	"testing"
+	"time"
 
-	"invisiblebits/internal/analog"
 	"invisiblebits/internal/ioatomic"
-	"invisiblebits/internal/sram"
 )
 
-type benchPoint struct {
-	Name     string  `json:"name"`
-	Bytes    int     `json:"array_bytes"`
-	Captures int     `json:"captures,omitempty"`
-	Workers  int     `json:"workers,omitempty"`
-	NoiseGen int     `json:"noise_gen,omitempty"`
-	NsPerOp  float64 `json:"ns_per_op"`
-	BPerOp   int64   `json:"bytes_per_op"`
-	AllocsOp int64   `json:"allocs_per_op"`
-	MBPerSec float64 `json:"mb_per_sec,omitempty"`
-	// LegacyNsPerOp is the BENCH_3-era engine (serial, unpruned,
-	// per-cell GrowShift) timed on this host for the same grid point.
-	LegacyNsPerOp float64 `json:"legacy_ns_per_op,omitempty"`
-	// Speedup is LegacyNsPerOp / NsPerOp.
-	Speedup float64 `json:"speedup_vs_legacy,omitempty"`
-	// PruneFrac is the fraction of cells the engine resolved without
-	// noise draws (prune-ratio grid only).
-	PruneFrac float64 `json:"prune_frac,omitempty"`
+// row is one timed grid point at one worker width (0: width-free).
+type row struct {
+	Grid        string             `json:"grid"`
+	Name        string             `json:"name"`
+	Workers     int                `json:"workers,omitempty"`
+	NsPerOp     float64            `json:"ns_per_op"`
+	BPerOp      int64              `json:"bytes_per_op"`
+	AllocsOp    int64              `json:"allocs_per_op"`
+	BaseNsPerOp float64            `json:"baseline_ns_per_op,omitempty"`
+	BaseSource  string             `json:"baseline_source,omitempty"`
+	Speedup     float64            `json:"speedup_vs_baseline,omitempty"`
+	Extra       map[string]float64 `json:"extra,omitempty"`
 }
 
-type benchReport struct {
+type report struct {
 	Schema     string `json:"schema"`
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
-	// Equivalent: within each NoiseGen version, optimized captures are
-	// bit-identical to the serial unpruned reference engine, and the
-	// aging engines agree to float rounding. Checked before timing.
-	Equivalent bool         `json:"captures_bit_identical"`
-	Capture    []benchPoint `json:"capture_grid"`
-	PowerOn    []benchPoint `json:"power_on_grid"`
-	Stress     []benchPoint `json:"stress_grid"`
-	PruneRatio []benchPoint `json:"prune_ratio_grid"`
+	Quick      bool   `json:"quick,omitempty"`
+	Workers    []int  `json:"workers"`
+	// Certificates: written only after the gate pass has succeeded.
+	CapturesBitIdentical bool  `json:"captures_bit_identical"`
+	DecodeBitIdentical   bool  `json:"decode_bit_identical"`
+	WarmDecodeZeroAlloc  bool  `json:"warm_decode_zero_alloc"`
+	Rows                 []row `json:"rows"`
 }
 
-const benchSeed = 0xbe2c
-
-func newArray(bytes, workers, noiseGen int) (*sram.Array, error) {
-	spec := sram.DefaultSpec()
-	spec.Rows = 256
-	spec.Cols = bytes * 8 / spec.Rows
-	spec.Seed = benchSeed
-	spec.Workers = workers
-	spec.NoiseGen = noiseGen
-	a, err := sram.New(spec)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := a.PowerOn(25); err != nil {
-		return nil, err
-	}
-	return a, nil
+type grid struct {
+	name string
+	run  func(e *env) ([]row, error)
 }
 
-// imprint writes a fixed pattern and soaks it at the encoding condition,
-// pushing message cells beyond the pruning bound like a real encode.
-func imprint(a *sram.Array, hours float64) error {
-	if hours <= 0 {
-		return nil
-	}
-	pattern := make([]byte, a.Bytes())
-	for i := range pattern {
-		pattern[i] = byte(i*37 + 11)
-	}
-	return a.StressWithPattern(pattern, a.Spec().Aging.Ref, hours)
+// table lists every grid. A grid times each point at every width in
+// -workers or, if width-free, once (Workers 0).
+var table = []grid{
+	{"capture", captureGrid},
+	{"power-on", powerOnGrid},
+	{"stress", stressGrid},
+	{"prune-ratio", pruneGrid},
+	{"votes-into", votesIntoGrid},
+	{"decode-tail", decodeTailGrid},
+	{"votes-tail", votesTailGrid},
+	{"decode-workers", decodeWorkersGrid},
+	{"sweep-stats", sweepStatsGrid},
+	{"sched", schedGrid},
 }
 
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "ibbench:", err)
-	os.Exit(1)
+// env is what a grid sees: the table size (grid points, per-row timing
+// budget) and the worker widths.
+type env struct {
+	quick    bool
+	benchD   time.Duration
+	sizes    []size
+	captures []int
+	widths   []int
 }
 
-// checkEquivalence is the gate the speedup numbers rest on: within each
-// noise-plane version, every worker count's pruned parallel captures
-// must match the serial unpruned reference bit for bit (clean and
-// heavily-imprinted arrays), and parallel equivalent-time aging must
-// match per-cell GrowShift to float rounding.
-func checkEquivalence(workerGrid []int) error {
-	for _, gen := range []int{sram.NoiseGenBoxMuller, sram.NoiseGenZiggurat} {
-		for _, soak := range []float64{0, 10} {
-			ref, err := newArray(4<<10, 1, gen)
-			if err != nil {
-				return err
-			}
-			if err := imprint(ref, soak); err != nil {
-				return err
-			}
-			want, err := ref.CaptureVotesReference(5, 25)
-			if err != nil {
-				return err
-			}
-			for _, w := range workerGrid {
-				a, err := newArray(4<<10, w, gen)
-				if err != nil {
-					return err
-				}
-				if err := imprint(a, soak); err != nil {
-					return err
-				}
-				got, err := a.CaptureVotes(5, 25)
-				if err != nil {
-					return err
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						return fmt.Errorf("gen=%d soak=%vh workers=%d: cell %d votes %d, reference %d",
-							gen, soak, w, i, got[i], want[i])
-					}
-				}
-			}
-		}
-	}
-	// Aging: staged stress + shelf + restress, optimized vs legacy.
-	cond := analog.Conditions{VoltageV: 3.3, TempC: 85}
-	run := func(legacy bool) (*sram.Array, error) {
-		a, err := newArray(4<<10, 0, sram.NoiseGenZiggurat)
-		if err != nil {
-			return nil, err
-		}
-		stress := a.Stress
-		if legacy {
-			stress = a.StressReference
-		}
-		pattern := make([]byte, a.Bytes())
-		for i := range pattern {
-			pattern[i] = byte(i*37 + 11)
-		}
-		if err := a.Write(pattern); err != nil {
-			return nil, err
-		}
-		for _, h := range []float64{2, 1, 3} {
-			if err := stress(cond, h); err != nil {
-				return nil, err
-			}
-		}
-		a.PowerOff(true)
-		if err := a.Shelve(100); err != nil {
-			return nil, err
-		}
-		if _, err := a.PowerOn(25); err != nil {
-			return nil, err
-		}
-		if err := stress(cond, 0.5); err != nil {
-			return nil, err
-		}
-		return a, nil
-	}
-	fast, err := run(false)
-	if err != nil {
-		return err
-	}
-	ref, err := run(true)
-	if err != nil {
-		return err
-	}
-	for i := 0; i < fast.Cells(); i++ {
-		fb, rb := fast.Bias(i), ref.Bias(i)
-		if diff := math.Abs(fb - rb); diff/math.Max(1, math.Abs(rb)) > 1e-5 {
-			return fmt.Errorf("stress equivalence: cell %d bias %v vs reference %v", i, fb, rb)
-		}
-	}
-	return nil
-}
-
-func parseWorkers(s string) ([]int, error) {
-	var grid []int
-	seen := map[int]bool{}
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad worker count %q", f)
-		}
-		if !seen[n] {
-			seen[n] = true
-			grid = append(grid, n)
-		}
-	}
-	return grid, nil
-}
-
-func bench(fn func(b *testing.B)) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		fn(b)
-	})
-}
-
-var sizes = []struct {
+type size struct {
 	name  string
 	bytes int
-}{{"4KiB", 4 << 10}, {"64KiB", 64 << 10}}
+}
 
-func genName(gen int) string {
-	if gen == sram.NoiseGenZiggurat {
-		return "zig"
+// newEnv sizes the table: the full grid, or the quick one CI runs.
+func newEnv(quick bool, widths []int) *env {
+	if quick {
+		return &env{true, 10 * time.Millisecond, []size{{"4KiB", 4 << 10}}, []int{5}, widths}
 	}
-	return "bm"
+	return &env{false, time.Second, []size{{"4KiB", 4 << 10}, {"64KiB", 64 << 10}}, []int{5, 25}, widths}
+}
+
+// measure times run(n), n back-to-back operations, after one warm-up,
+// growing n until a round lasts the budget (like testing.Benchmark);
+// the row holds per-operation time and heap traffic.
+func (e *env) measure(run func(n int) error) (row, error) {
+	if err := run(1); err != nil {
+		return row{}, err
+	}
+	for n := 1; ; {
+		r, err := heapTimed(n, func() error { return run(n) })
+		if err != nil || time.Duration(r.NsPerOp*float64(n)) >= e.benchD || n >= 1e9 {
+			return r, err
+		}
+		n = min(max(int(1.2*float64(e.benchD.Nanoseconds())/max(r.NsPerOp, 1)), n+1), 100*n)
+	}
+}
+
+// heapTimed runs f once and returns its wall time and heap traffic
+// divided over the n operations it performed.
+func heapTimed(n int, f func() error) (row, error) {
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	start := time.Now()
+	err := f()
+	el := time.Since(start)
+	runtime.ReadMemStats(&m1)
+	return row{
+		NsPerOp:  float64(el.Nanoseconds()) / float64(n),
+		BPerOp:   int64(m1.TotalAlloc-m0.TotalAlloc) / int64(n),
+		AllocsOp: int64(m1.Mallocs-m0.Mallocs) / int64(n),
+	}, err
+}
+
+// loop adapts a single operation to measure's n-operation form.
+func loop(op func() error) func(n int) error {
+	return func(n int) error {
+		for i := 0; i < n; i++ {
+			if err := op(); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// timed measures op and, when base is set, its baseline — the row's
+// retained older implementation — into one row.
+func (e *env) timed(name string, workers int, op, base func() error, baseSrc string) (row, error) {
+	r, err := e.measure(loop(op))
+	if err != nil {
+		return row{}, fmt.Errorf("%s: %w", name, err)
+	}
+	r.Name, r.Workers = name, workers
+	if base != nil {
+		b, err := e.measure(loop(base))
+		if err != nil {
+			return row{}, fmt.Errorf("%s baseline: %w", name, err)
+		}
+		r.BaseNsPerOp, r.BaseSource, r.Speedup = b.NsPerOp, baseSrc, b.NsPerOp/r.NsPerOp
+	}
+	return r, nil
+}
+
+// run executes the gate pass, then the given grids, and returns the
+// report. Any gate failure is an error; no grid runs after it.
+func run(e *env, grids []grid, log io.Writer) (*report, error) {
+	if err := captureGate(e.widths); err != nil {
+		return nil, fmt.Errorf("capture gate: %w", err)
+	}
+	fmt.Fprintf(log, "capture gates passed at workers %v: kernel == reference, zero-alloc bursts, aging within float rounding\n", e.widths)
+	if err := decodeGate(); err != nil {
+		return nil, fmt.Errorf("decode gate: %w", err)
+	}
+	fmt.Fprintln(log, "decode gates passed: pipeline == scalar, warm decodes allocate nothing")
+
+	rep := &report{
+		Schema:               "invisiblebits/bench/v8",
+		GoVersion:            runtime.Version(),
+		GOOS:                 runtime.GOOS,
+		GOARCH:               runtime.GOARCH,
+		NumCPU:               runtime.NumCPU(),
+		GOMAXPROCS:           runtime.GOMAXPROCS(0),
+		Quick:                e.quick,
+		Workers:              e.widths,
+		CapturesBitIdentical: true,
+		DecodeBitIdentical:   true,
+		WarmDecodeZeroAlloc:  true,
+	}
+	for _, g := range grids {
+		rows, err := g.run(e)
+		if err != nil {
+			return nil, fmt.Errorf("%s grid: %w", g.name, err)
+		}
+		for i, r := range rows {
+			rows[i].Grid = g.name
+			fmt.Fprintf(log, "%-14s %-40s %14.0f ns/op %4d allocs %8.2fx %s\n",
+				g.name, r.Name, r.NsPerOp, r.AllocsOp, r.Speedup, r.BaseSource)
+		}
+		rep.Rows = append(rep.Rows, rows...)
+	}
+	return rep, nil
 }
 
 func main() {
-	defaultWorkers := "1"
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		defaultWorkers += "," + strconv.Itoa(n)
+	defaultWorkers := fmt.Sprintf("1,%d", runtime.GOMAXPROCS(0)) // duplicates collapse
+	var names []string
+	for _, g := range table {
+		names = append(names, g.name)
 	}
 	var (
-		out        = flag.String("o", "", "output path for the benchmark report (default BENCH_4.json, BENCH_5.json with -sched, BENCH_6.json with -kernel)")
-		workers    = flag.String("workers", defaultWorkers, "comma-separated worker counts (must include 1 for the serial baseline)")
-		schedMode  = flag.Bool("sched", false, "benchmark the multi-tenant scheduler (campaigns/chamber-hour and latency at scale) instead of the hot-path grids")
-		tenants    = flag.String("sched-tenants", "1000,10000", "comma-separated tenancy levels for -sched")
-		kernelMode = flag.Bool("kernel", false, "benchmark the word-parallel capture kernel against the scalar and reference engines (BENCH_6.json)")
-		decodeMode = flag.Bool("decodegrid", false, "benchmark the word-parallel decode pipeline against the scalar decoders (BENCH_7.json)")
-		quick      = flag.Bool("quick", false, "CI smoke: equivalence gates with a minimal grid (implies -kernel unless -decodegrid)")
+		out      = flag.String("o", "BENCH_8.json", "output path for the benchmark report")
+		workers  = flag.String("workers", defaultWorkers, "comma-separated worker widths; every gate and every per-width grid runs at each")
+		quick    = flag.Bool("quick", false, "CI smoke: every gate, minimal grid points, short timings, no headline gates")
+		gridList = flag.String("grid", "all", "comma-separated grids to time: all, or any of "+strings.Join(names, ", "))
 	)
 	flag.Parse()
-
-	if *decodeMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_7.json"
+	var widths []int
+	for _, f := range strings.Split(*workers, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 1 {
+			fail(fmt.Errorf("bad worker count %q", f))
 		}
-		grid, err := parseWorkers(*workers)
-		if err != nil {
-			fail(err)
+		if !slices.Contains(widths, n) {
+			widths = append(widths, n)
 		}
-		runDecodeBench(path, grid, *quick)
-		return
 	}
-	if *kernelMode || *quick {
-		path := *out
-		if path == "" {
-			path = "BENCH_6.json"
+	grids := table
+	if *gridList != "all" {
+		grids = nil
+		for _, name := range strings.Split(*gridList, ",") {
+			i := slices.Index(names, name)
+			if i < 0 {
+				fail(fmt.Errorf("unknown grid %q", name))
+			}
+			grids = append(grids, table[i])
 		}
-		grid, err := parseWorkers(*workers)
-		if err != nil {
-			fail(err)
-		}
-		runKernelBench(path, grid, *quick)
-		return
 	}
-	if *schedMode {
-		path := *out
-		if path == "" {
-			path = "BENCH_5.json"
-		}
-		grid, err := parseWorkers(*tenants)
-		if err != nil {
-			fail(err)
-		}
-		runSchedBench(path, grid)
-		return
-	}
-	if *out == "" {
-		*out = "BENCH_4.json"
-	}
-
-	grid, err := parseWorkers(*workers)
+	rep, err := run(newEnv(*quick, widths), grids, os.Stdout)
 	if err != nil {
 		fail(err)
 	}
-	if grid[0] != 1 {
-		fail(fmt.Errorf("worker grid must start with 1 (serial baseline)"))
-	}
-
-	if err := checkEquivalence(grid); err != nil {
-		fail(fmt.Errorf("equivalence check failed: %w", err))
-	}
-	fmt.Println("equivalence gates passed: captures bit-identical, aging within float rounding")
-
-	report := benchReport{
-		Schema:     "invisiblebits/bench/v4",
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Equivalent: true,
-	}
-	emit := func(dst *[]benchPoint, pt benchPoint) {
-		*dst = append(*dst, pt)
-		fmt.Printf("%-26s %14.0f ns/op %12.0f legacy %7.2fx\n",
-			pt.Name, pt.NsPerOp, pt.LegacyNsPerOp, pt.Speedup)
-	}
-
-	// --- capture grid: size × captures × NoiseGen × workers ---------------
-	// The legacy baseline is the BENCH_3-era engine: serial, unpruned,
-	// Box–Muller noise. It is timed once per (size, captures) and shared
-	// by both NoiseGen rows — the Box–Muller rows show the refactor alone
-	// is cost-neutral for compat-mode devices, the ziggurat rows show
-	// what new silicon gains over the old engine.
-	for _, size := range sizes {
-		for _, captures := range []int{5, 25} {
-			legacyArr, err := newArray(size.bytes, 1, sram.NoiseGenBoxMuller)
-			if err != nil {
-				fail(err)
-			}
-			captures := captures
-			legacy := bench(func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := legacyArr.CaptureVotesReference(captures, 25); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			for _, gen := range []int{sram.NoiseGenBoxMuller, sram.NoiseGenZiggurat} {
-				for _, w := range grid {
-					a, err := newArray(size.bytes, w, gen)
-					if err != nil {
-						fail(err)
-					}
-					res := bench(func(b *testing.B) {
-						b.SetBytes(int64(size.bytes * captures))
-						for i := 0; i < b.N; i++ {
-							if _, err := a.CaptureVotes(captures, 25); err != nil {
-								b.Fatal(err)
-							}
-						}
-					})
-					nsop := float64(res.NsPerOp())
-					emit(&report.Capture, benchPoint{
-						Name:          fmt.Sprintf("%s/%dcap/%s/%dw", size.name, captures, genName(gen), w),
-						Bytes:         size.bytes,
-						Captures:      captures,
-						Workers:       w,
-						NoiseGen:      gen,
-						NsPerOp:       nsop,
-						BPerOp:        res.AllocedBytesPerOp(),
-						AllocsOp:      res.AllocsPerOp(),
-						MBPerSec:      float64(size.bytes*captures) / nsop * 1e3,
-						LegacyNsPerOp: float64(legacy.NsPerOp()),
-						Speedup:       float64(legacy.NsPerOp()) / nsop,
-					})
-				}
-			}
-		}
-	}
-
-	// --- power-on grid: size × NoiseGen (full power-cycle races) ----------
-	for _, size := range sizes {
-		legacyArr, err := newArray(size.bytes, 1, sram.NoiseGenBoxMuller)
-		if err != nil {
-			fail(err)
-		}
-		legacy := bench(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				legacyArr.PowerOff(true)
-				if _, err := legacyArr.PowerOnReference(25); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		for _, gen := range []int{sram.NoiseGenBoxMuller, sram.NoiseGenZiggurat} {
-			a, err := newArray(size.bytes, 0, gen)
-			if err != nil {
-				fail(err)
-			}
-			res := bench(func(b *testing.B) {
-				b.SetBytes(int64(size.bytes))
-				for i := 0; i < b.N; i++ {
-					if _, err := a.PowerCycle(25); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			nsop := float64(res.NsPerOp())
-			emit(&report.PowerOn, benchPoint{
-				Name:          fmt.Sprintf("%s/%s", size.name, genName(gen)),
-				Bytes:         size.bytes,
-				NoiseGen:      gen,
-				NsPerOp:       nsop,
-				BPerOp:        res.AllocedBytesPerOp(),
-				AllocsOp:      res.AllocsPerOp(),
-				MBPerSec:      float64(size.bytes) / nsop * 1e3,
-				LegacyNsPerOp: float64(legacy.NsPerOp()),
-				Speedup:       float64(legacy.NsPerOp()) / nsop,
-			})
-		}
-	}
-
-	// --- stress grid: the aging hot loop (BENCH_3 never measured it) ------
-	for _, size := range sizes {
-		cond := analog.Conditions{VoltageV: 3.3, TempC: 85}
-		legacyArr, err := newArray(size.bytes, 1, sram.NoiseGenZiggurat)
-		if err != nil {
-			fail(err)
-		}
-		legacy := bench(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := legacyArr.StressReference(cond, 0.1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		a, err := newArray(size.bytes, 0, sram.NoiseGenZiggurat)
-		if err != nil {
-			fail(err)
-		}
-		res := bench(func(b *testing.B) {
-			b.SetBytes(int64(size.bytes))
-			for i := 0; i < b.N; i++ {
-				if err := a.Stress(cond, 0.1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		nsop := float64(res.NsPerOp())
-		emit(&report.Stress, benchPoint{
-			Name:          fmt.Sprintf("%s/stress", size.name),
-			Bytes:         size.bytes,
-			NsPerOp:       nsop,
-			BPerOp:        res.AllocedBytesPerOp(),
-			AllocsOp:      res.AllocsPerOp(),
-			MBPerSec:      float64(size.bytes) / nsop * 1e3,
-			LegacyNsPerOp: float64(legacy.NsPerOp()),
-			Speedup:       float64(legacy.NsPerOp()) / nsop,
-		})
-	}
-
-	// --- prune-ratio grid: capture cost vs imprint depth ------------------
-	// Clean silicon already prunes ~75% of cells (P(|N(0,30σmv)| > 8·1.2mv)).
-	// Encoding soaks push the ratio toward 1 and the capture cost toward
-	// pure memory traffic.
-	for _, soak := range []float64{0, 1, 10} {
-		a, err := newArray(64<<10, 0, sram.NoiseGenZiggurat)
-		if err != nil {
-			fail(err)
-		}
-		if err := imprint(a, soak); err != nil {
-			fail(err)
-		}
-		frac, err := a.DeterministicFrac(25)
-		if err != nil {
-			fail(err)
-		}
-		res := bench(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := a.CaptureVotes(25, 25); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		emit(&report.PruneRatio, benchPoint{
-			Name:      fmt.Sprintf("64KiB/25cap/soak%vh", soak),
-			Bytes:     64 << 10,
-			Captures:  25,
-			NoiseGen:  sram.NoiseGenZiggurat,
-			NsPerOp:   float64(res.NsPerOp()),
-			BPerOp:    res.AllocedBytesPerOp(),
-			AllocsOp:  res.AllocsPerOp(),
-			PruneFrac: frac,
-		})
-	}
-
-	blob, err := json.MarshalIndent(report, "", "  ")
+	blob, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
 		fail(err)
 	}
@@ -498,4 +251,9 @@ func main() {
 		fail(err)
 	}
 	fmt.Println("wrote", *out)
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "ibbench:", err)
+	os.Exit(1)
 }

@@ -403,3 +403,28 @@ func DecodeVotes(rec *Record, votes []uint16, total int, opts Options) ([]byte, 
 	copy(out, msg)
 	return out, nil
 }
+
+// DecodeVotesScalar is the decode tail's reference oracle: the
+// allocate-per-stage chain the arena replaced — per-bit hard decision,
+// decrypt, ecc.DecodeScalar, VerifyMessage. DecodeVotes must return
+// byte-identical plaintext; the core tests and cmd/ibbench's decode
+// gate compare against it.
+func DecodeVotesScalar(rec *Record, votes []uint16, total int, opts Options) ([]byte, error) {
+	codec := opts.codec()
+	codedLen, err := recordCodedLen(rec, codec)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := decryptPayload(payloadFromVotes(votes, total, rec.PayloadBytes), rec, opts)
+	if err != nil {
+		return nil, err
+	}
+	msg, err := ecc.DecodeScalar(codec, payload[:codedLen], rec.MessageBytes)
+	if err == nil && rec.HasDigest() {
+		err = rec.VerifyMessage(msg, opts.Key)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return msg, nil
+}

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"invisiblebits/internal/ecc"
 	"invisiblebits/internal/rng"
 	"invisiblebits/internal/stegocrypt"
 )
@@ -91,31 +90,6 @@ func arenaRecord(t *testing.T, serial string, key *stegocrypt.Key) (*Record, []u
 	return rec, votes, opts, msg
 }
 
-// scalarTail decodes accumulated votes with the original scalar chain:
-// allocate-per-stage hard decision, decrypt, scalar ECC, VerifyMessage.
-func scalarTail(rec *Record, votes []uint16, total int, opts Options) ([]byte, error) {
-	codec := opts.codec()
-	codedLen, err := recordCodedLen(rec, codec)
-	if err != nil {
-		return nil, err
-	}
-	payload := payloadFromVotes(votes, total, rec.PayloadBytes)
-	payload, err = decryptPayload(payload, rec, opts)
-	if err != nil {
-		return nil, err
-	}
-	msg, err := ecc.DecodeScalar(codec, payload[:codedLen], rec.MessageBytes)
-	if err != nil {
-		return nil, err
-	}
-	if rec.HasDigest() {
-		if err := rec.VerifyMessage(msg, opts.Key); err != nil {
-			return nil, err
-		}
-	}
-	return msg, nil
-}
-
 // TestArenaDecodeVotesMatchesScalarTail: the arena's fused decode tail
 // produces the exact plaintext of the scalar chain, and a warm arena
 // decode performs zero heap allocations — the property BENCH_7 gates.
@@ -130,7 +104,7 @@ func TestArenaDecodeVotesMatchesScalarTail(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rec, votes, opts, msg := arenaRecord(t, "arena-"+tc.name, tc.key)
-			want, err := scalarTail(rec, votes, DefaultCaptures, opts)
+			want, err := DecodeVotesScalar(rec, votes, DefaultCaptures, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

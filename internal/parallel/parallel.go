@@ -1,11 +1,17 @@
 // Package parallel provides the bounded worker pool behind the SRAM
-// capture engine. A Pool is a concurrency *budget*, not a set of pinned
-// goroutines: each Run spawns one short-lived goroutine per chunk, and
-// a shared semaphore bounds how many are executing at once. Because the
-// semaphore is owned by the Pool — not the call — a fleet pointing many
-// devices at one Pool gets fleet-wide bounded parallelism for free: ten
-// concurrent capture bursts share the same worker budget instead of
-// oversubscribing the machine tenfold.
+// capture engine. A Pool is a concurrency *budget*, not a set of
+// goroutines: the process owns one set of parked worker goroutines (at
+// most GOMAXPROCS, started on demand), and every Pool borrows from it.
+// A Pool's semaphore bounds how many of those workers run its chunks at
+// once, so a fleet pointing many devices at one Pool gets fleet-wide
+// bounded parallelism for free — ten concurrent capture bursts share
+// the same budget instead of oversubscribing the machine tenfold — and
+// building pools costs no goroutines at all.
+//
+// A Run hands its workers one recycled batch descriptor; the workers
+// claim chunks from it with an atomic cursor. Steady-state Runs
+// therefore allocate nothing at any width: no goroutine, no closure,
+// no channel per burst.
 //
 // Correctness never depends on the pool: the capture engine derives all
 // randomness from counter-based streams (rng.Stream), so any worker
@@ -16,6 +22,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool bounds data-parallel work. The zero value is not usable; use New
@@ -70,9 +77,10 @@ func (p *Pool) chunkFor(n, align int) int {
 // Run splits [0, n) into per-worker chunks aligned to align and calls
 // fn(lo, hi) for each, concurrently, bounded by the pool budget. It
 // returns ctx.Err() if the context is cancelled; chunks already
-// dispatched run to completion (fn must not block indefinitely), chunks
-// not yet dispatched are skipped. fn must be safe to call concurrently
-// on disjoint ranges.
+// claimed run to completion (fn must not block indefinitely), chunks
+// not yet claimed are skipped. fn must be safe to call concurrently
+// on disjoint ranges, and must not itself call Run: it executes on the
+// process's parked workers.
 func (p *Pool) Run(ctx context.Context, n, align int, fn func(lo, hi int)) error {
 	return p.RunChunked(ctx, n, p.chunkFor(n, align), fn)
 }
@@ -88,38 +96,129 @@ func (p *Pool) RunChunked(ctx context.Context, n, chunk int, fn func(lo, hi int)
 		chunk = n
 	}
 	if chunk >= n || p.workers == 1 {
-		// Serial fast path: no goroutines, no semaphore round-trips.
+		// Serial fast path: no handoff, no semaphore round-trips.
 		for lo := 0; lo < n; lo += chunk {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
+			fn(lo, min(lo+chunk, n))
 		}
 		return ctx.Err()
 	}
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		if err := ctx.Err(); err != nil {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	b := getBatch()
+	b.ctx, b.fn, b.pool, b.n, b.chunk = ctx, fn, p, n, chunk
+	b.next.Store(0)
+	helpers := min(p.workers, (n+chunk-1)/chunk, runtime.GOMAXPROCS(0))
+	// The first worker waits for budget; the rest join only while
+	// budget is free, so a busy pool still finishes on one worker.
+	p.sem <- struct{}{}
+	for h := 1; ; h++ {
+		b.wg.Add(1)
+		dispatch(b)
+		if h == helpers || !p.tryAcquire() {
 			break
 		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		p.sem <- struct{}{} // acquire before spawn: bounds live goroutines
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer func() {
-				<-p.sem
-				wg.Done()
-			}()
-			fn(lo, hi)
-		}(lo, hi)
 	}
-	wg.Wait()
+	b.wg.Wait()
+	b.ctx, b.fn, b.pool = nil, nil, nil
+	putBatch(b)
 	return ctx.Err()
+}
+
+func (p *Pool) tryAcquire() bool {
+	select {
+	case p.sem <- struct{}{}:
+		return true
+	default:
+		return false
+	}
+}
+
+// batch is one Run's shared state. Workers claim chunk starts from
+// next; wg counts the workers still inside the batch. Batches are
+// recycled, so a steady stream of Runs allocates none.
+type batch struct {
+	ctx      context.Context
+	fn       func(lo, hi int)
+	pool     *Pool
+	n, chunk int
+	next     atomic.Int64
+	wg       sync.WaitGroup
+}
+
+// work claims and runs chunks until none remain or the context is
+// cancelled, then returns the pool token it was dispatched with. It
+// must not touch b after wg.Done: the Run may recycle it at once.
+func (b *batch) work() {
+	for b.ctx.Err() == nil {
+		lo := int(b.next.Add(int64(b.chunk))) - b.chunk
+		if lo >= b.n {
+			break
+		}
+		b.fn(lo, min(lo+b.chunk, b.n))
+	}
+	<-b.pool.sem
+	b.wg.Done()
+}
+
+var (
+	// tasks hands batches to parked workers; unbuffered, so a send
+	// succeeds only when a worker is idle.
+	tasks = make(chan *batch)
+	// spare recycles batch descriptors across Runs. One is in flight
+	// per concurrent Run; 64 covers any realistic fleet of concurrent
+	// bursts, and a Run beyond that just allocates (and drops) its own.
+	spare = make(chan *batch, 64)
+
+	spawnMu sync.Mutex
+	spawned int
+)
+
+// dispatch gives b to an idle parked worker, starts a new one while the
+// process has fewer than GOMAXPROCS, and otherwise waits for one to
+// free up. Workers never block outside fn, so the wait always ends.
+func dispatch(b *batch) {
+	select {
+	case tasks <- b:
+		return
+	default:
+	}
+	spawnMu.Lock()
+	grow := spawned < runtime.GOMAXPROCS(0)
+	if grow {
+		spawned++
+	}
+	spawnMu.Unlock()
+	if grow {
+		go worker(b)
+		return
+	}
+	tasks <- b
+}
+
+// worker runs its first batch, then parks for the next one forever.
+func worker(b *batch) {
+	for {
+		b.work()
+		b = <-tasks
+	}
+}
+
+func getBatch() *batch {
+	select {
+	case b := <-spare:
+		return b
+	default:
+		return new(batch)
+	}
+}
+
+func putBatch(b *batch) {
+	select {
+	case spare <- b:
+	default:
+	}
 }

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,5 +119,46 @@ func TestSharedPoolIsBounded(t *testing.T) {
 	wg.Wait()
 	if total.Load() != 8*64 {
 		t.Fatalf("concurrent shared runs covered %d items, want %d", total.Load(), 8*64)
+	}
+}
+
+// TestRunSteadyStateAllocatesNothing: once the process's workers exist,
+// a Run at any width hands out a recycled batch and allocates nothing —
+// the capture kernel's zero-alloc contract rests on it.
+func TestRunSteadyStateAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	var total atomic.Int64
+	fn := func(lo, hi int) { total.Add(int64(hi - lo)) }
+	for _, workers := range []int{2, 4} {
+		p := New(workers)
+		if err := p.Run(ctx, 1024, 8, fn); err != nil {
+			t.Fatal(err)
+		}
+		if avg := testing.AllocsPerRun(100, func() {
+			if err := p.Run(ctx, 1024, 8, fn); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("workers=%d: Run allocates %.1f objects per steady-state call", workers, avg)
+		}
+	}
+	if total.Load() != 2*102*1024 { // warm-up + AllocsPerRun's 1 + 100 runs, per width
+		t.Fatalf("runs covered %d items, want %d", total.Load(), 2*102*1024)
+	}
+}
+
+// TestPoolsShareParkedWorkers: a Pool is only a budget — building and
+// running a thousand of them starts no goroutines beyond the process's
+// GOMAXPROCS parked workers.
+func TestPoolsShareParkedWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	fn := func(lo, hi int) {}
+	for i := 0; i < 1000; i++ {
+		if err := New(2+i%7).Run(context.Background(), 64, 1, fn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if grew := runtime.NumGoroutine() - before; grew > runtime.GOMAXPROCS(0) {
+		t.Fatalf("1000 pools grew the process by %d goroutines, GOMAXPROCS is %d", grew, runtime.GOMAXPROCS(0))
 	}
 }

@@ -11,8 +11,9 @@ import (
 // Word-parallel capture engine.
 //
 // A capture burst is, per cell, `captures` races of `bias + sigma*noise
-// > 0`. The scalar engine resolved them cell by cell; this kernel
-// resolves them 64 cells per machine word:
+// > 0`. The reference engine (reference.go) resolves them cell by cell;
+// this kernel — the only production capture engine — resolves them 64
+// cells per machine word:
 //
 //   - The bias plane splits once per (bias epoch, sigma) into
 //     deterministic-one / deterministic-zero word planes (cells whose
@@ -36,7 +37,7 @@ import (
 //     derive from the counts.
 //
 // The kernel consumes exactly the counter-derived noise tape
-// (norm(base+k, i) for race k, cell i) the serial engines consume, so
+// (norm(base+k, i) for race k, cell i) the reference engine consumes, so
 // votes, the final data plane and PowerOnCount are bit-identical to
 // CaptureVotesReference / PowerOnReference for any worker count — the
 // sram differential and fuzz suites enforce this.
@@ -301,13 +302,29 @@ func (k *capKernel) remSnapshot(data []byte) []byte {
 // runRaces executes `races` fresh power-on races and fills out with the
 // per-cell counts; the last race becomes the data plane.
 func (a *Array) runRaces(ctx context.Context, races int, tempC float64, out []uint16) error {
-	sigma := a.noiseSigmaAt(tempC)
-	if err := a.ensureKernel(ctx, sigma); err != nil {
+	nwN, err := a.beginRaces(ctx, races, tempC)
+	if err != nil {
 		return err
 	}
+	if nwN > 0 {
+		if err := a.pool.Run(ctx, nwN, 1, a.kern.raceFn); err != nil {
+			return err
+		}
+	}
+	a.finishRaces(races, out)
+	return nil
+}
+
+// beginRaces readies the kernel for a burst of `races` races at tempC —
+// packed layout, zeroed counter slices, one noise counter per race
+// consumed — and returns the number of packed words the burst body
+// (kern.raceFn over [0, nwN)) must cover.
+func (a *Array) beginRaces(ctx context.Context, races int, tempC float64) (nwN int, err error) {
+	sigma := a.noiseSigmaAt(tempC)
+	if err := a.ensureKernel(ctx, sigma); err != nil {
+		return 0, err
+	}
 	k := &a.kern
-	nc := len(k.cellIdx)
-	nwN := (nc + 63) / 64
 	nb := bits.Len(uint(races)) // counts ≤ races < 1<<nb
 	k.ensureSlices(nb)
 	if cap(k.ctrs) < races {
@@ -319,17 +336,21 @@ func (a *Array) runRaces(ctx context.Context, races int, tempC float64, out []ui
 	for r := 0; r < races; r++ {
 		k.ctrs[r] = a.noise.CtrState(base + uint64(r))
 	}
-
-	if nwN > 0 {
-		k.burstRaces = races
-		k.burstNB = nb
-		if k.raceFn == nil {
-			k.raceFn = a.raceChunks
-		}
-		if err := a.pool.Run(ctx, nwN, 1, k.raceFn); err != nil {
-			return err
-		}
+	k.burstRaces = races
+	k.burstNB = nb
+	if k.raceFn == nil {
+		k.raceFn = a.raceChunks
 	}
+	return len(k.votes), nil
+}
+
+// finishRaces assembles the burst's per-cell counts into out and its
+// final race into the data plane.
+func (a *Array) finishRaces(races int, out []uint16) {
+	k := &a.kern
+	nc := len(k.cellIdx)
+	nwN := len(k.votes)
+	nb := k.burstNB
 
 	// Assemble counts and the final data plane. Deterministic cells
 	// resolve identically on every race, so their count plane is a pure
@@ -394,7 +415,6 @@ func (a *Array) runRaces(ctx context.Context, races int, tempC float64, out []ui
 		}
 	}
 	packWordsToBytes(k.dataW, a.data)
-	return nil
 }
 
 // raceChunks is the burst worker body: it runs every race of the

@@ -85,9 +85,6 @@ func TestCaptureCountBoundary(t *testing.T) {
 	if _, err := a.CaptureMajority(MaxCaptures+2, 25); err == nil {
 		t.Fatal("CaptureMajority accepted an even, over-limit count")
 	}
-	if _, err := a.CaptureVotesScalar(MaxCaptures+1, 25); !errors.As(err, &cce) {
-		t.Fatalf("CaptureVotesScalar error = %v, want *CaptureCountError", err)
-	}
 }
 
 // TestSlicedMajorityMatchesScalarThreshold: for every odd capture count
@@ -153,10 +150,9 @@ func TestSlicedMajorityMatchesScalarThreshold(t *testing.T) {
 	}
 }
 
-// TestKernelEquivalence: kernel, pre-kernel scalar engine and serial
-// reference must produce identical votes, data planes and counter
-// consumption — for both noise generations, with and without remanence,
-// from identically aged states.
+// TestKernelEquivalence: kernel and serial reference must produce
+// identical votes, data planes and counter consumption — for both noise
+// generations, with and without remanence, from identically aged states.
 func TestKernelEquivalence(t *testing.T) {
 	for _, gen := range []int{NoiseGenZiggurat, NoiseGenBoxMuller} {
 		for _, remanent := range []bool{false, true} {
@@ -175,13 +171,9 @@ func TestKernelEquivalence(t *testing.T) {
 				}
 				return a
 			}
-			ak, as, ar := mk(), mk(), mk()
+			ak, ar := mk(), mk()
 			const captures = 9
 			vk, err := ak.CaptureVotes(captures, 31)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vs, err := as.CaptureVotesScalar(captures, 31)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,23 +182,22 @@ func TestKernelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range vk {
-				if vk[i] != vr[i] || vs[i] != vr[i] {
-					t.Fatalf("gen=%d rem=%v cell %d: kernel %d scalar %d reference %d",
-						gen, remanent, i, vk[i], vs[i], vr[i])
+				if vk[i] != vr[i] {
+					t.Fatalf("gen=%d rem=%v cell %d: kernel %d reference %d",
+						gen, remanent, i, vk[i], vr[i])
 				}
 			}
 			dk, _ := ak.Read()
-			ds, _ := as.Read()
 			dr, _ := ar.Read()
 			for i := range dk {
-				if dk[i] != dr[i] || ds[i] != dr[i] {
-					t.Fatalf("gen=%d rem=%v data byte %d: kernel %02x scalar %02x reference %02x",
-						gen, remanent, i, dk[i], ds[i], dr[i])
+				if dk[i] != dr[i] {
+					t.Fatalf("gen=%d rem=%v data byte %d: kernel %02x reference %02x",
+						gen, remanent, i, dk[i], dr[i])
 				}
 			}
-			if ak.PowerOnCount() != ar.PowerOnCount() || as.PowerOnCount() != ar.PowerOnCount() {
-				t.Fatalf("gen=%d rem=%v counters diverged: %d %d %d",
-					gen, remanent, ak.PowerOnCount(), as.PowerOnCount(), ar.PowerOnCount())
+			if ak.PowerOnCount() != ar.PowerOnCount() {
+				t.Fatalf("gen=%d rem=%v counters diverged: kernel %d reference %d",
+					gen, remanent, ak.PowerOnCount(), ar.PowerOnCount())
 			}
 		}
 	}
@@ -214,34 +205,41 @@ func TestKernelEquivalence(t *testing.T) {
 
 // TestCaptureIntoNoAllocSteadyState: after the first burst warms the
 // kernel's layout and scratch, CaptureVotesInto and CaptureMajorityInto
-// allocate nothing.
+// allocate nothing — at every worker width, since a burst at width ≥ 2
+// runs on the process's parked workers. Spec.Workers sets the width
+// directly: -cpu alone does not, because the shared pool fixes its width
+// at first use.
 func TestCaptureIntoNoAllocSteadyState(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race instrumentation allocates; zero-alloc gate runs in the non-race CI job and in ibbench -quick")
+		t.Skip("race instrumentation allocates; this zero-alloc gate runs in non-race builds (go test ./internal/sram, ibbench -quick)")
 	}
-	a, err := New(kernelTestSpec(4096, NoiseGenZiggurat, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	votes := make([]uint16, a.Cells())
-	maj := make([]byte, a.Bytes())
 	ctx := context.Background()
-	if err := a.CaptureVotesInto(ctx, 5, 25, votes); err != nil {
-		t.Fatal(err)
-	}
-	if avg := testing.AllocsPerRun(10, func() {
+	for _, workers := range []int{1, 2, 4} {
+		spec := kernelTestSpec(4096, NoiseGenZiggurat, 11)
+		spec.Workers = workers
+		a, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		votes := make([]uint16, a.Cells())
+		maj := make([]byte, a.Bytes())
 		if err := a.CaptureVotesInto(ctx, 5, 25, votes); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
-		t.Fatalf("CaptureVotesInto allocates %.1f objects per steady-state burst", avg)
-	}
-	if avg := testing.AllocsPerRun(10, func() {
-		if err := a.CaptureMajorityInto(ctx, 5, 25, maj); err != nil {
-			t.Fatal(err)
+		if avg := testing.AllocsPerRun(10, func() {
+			if err := a.CaptureVotesInto(ctx, 5, 25, votes); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("workers=%d: CaptureVotesInto allocates %.1f objects per steady-state burst", workers, avg)
 		}
-	}); avg != 0 {
-		t.Fatalf("CaptureMajorityInto allocates %.1f objects per steady-state burst", avg)
+		if avg := testing.AllocsPerRun(10, func() {
+			if err := a.CaptureMajorityInto(ctx, 5, 25, maj); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("workers=%d: CaptureMajorityInto allocates %.1f objects per steady-state burst", workers, avg)
+		}
 	}
 }
 
@@ -264,8 +262,8 @@ func TestMidBurstCancellation(t *testing.T) {
 	if a.Powered() {
 		t.Fatal("cancelled burst left the array powered")
 	}
-	// The cancelled burst consumed its counters (matching the scalar
-	// engine's contract): replay the same consumption on a twin, then
+	// The cancelled burst consumed its counters (cancellation never
+	// rewinds the noise tape): replay the same consumption on a twin, then
 	// both must agree on the next full power-on race.
 	twin, err := New(spec)
 	if err != nil {

@@ -104,50 +104,58 @@ func TestCaptureEquivalence(t *testing.T) {
 	}
 }
 
-// TestChunkSplitEquivalence drives the pool with explicit odd and even
-// chunk sizes and checks the race outcome never moves: sharding is pure
+// TestChunkSplitEquivalence drives the kernel's burst body with explicit
+// odd and even packed-word splits — including chunks that straddle the
+// body's own cache chunking — and checks votes, data plane and counter
+// consumption never move from the serial reference: sharding is pure
 // bookkeeping.
 func TestChunkSplitEquivalence(t *testing.T) {
-	spec := equivSpec(13)
-	ref, err := New(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ageArray(t, ref)
-	refSnap, err := ref.PowerOn(25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const captures = 5
+	for _, gen := range []int{NoiseGenZiggurat, NoiseGenBoxMuller} {
+		spec := equivSpec(13)
+		spec.NoiseGen = gen
+		ref, err := New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ageArray(t, ref)
+		want, err := ref.CaptureVotesReference(captures, 25)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantData, _ := ref.Read()
 
-	for _, chunk := range []int{1, 3, 7, 8, 64, 1000, 4096} {
-		a, err := New(equivSpec(13))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ageArray(t, a)
-		// Drive the race exactly as PowerOn does, but with a forced
-		// chunk size (odd chunks land mid-byte-run; resolveRace is
-		// byte-granular so any chunk of bytes is safe).
-		if err := a.ensureBiasPlane(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		sigma := a.noiseSigmaAt(25)
-		bound := a.pruneBound(sigma)
-		ctr := a.powerOns
-		a.powerOns++
-		pool := parallel.New(4)
-		if err := pool.RunChunked(context.Background(), len(a.data), chunk, func(lo, hi int) {
-			a.resolveRace(ctr, sigma, bound, lo, hi)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		a.powered = true
-		snap, err := a.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(snap, refSnap) {
-			t.Fatalf("chunk=%d bytes: race outcome differs from PowerOn", chunk)
+		for _, chunk := range []int{1, 2, 3, 7, 8, 64, 255, 257, 1 << 20} {
+			a, err := New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ageArray(t, a)
+			ctx := context.Background()
+			nwN, err := a.beginRaces(ctx, captures, 25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := parallel.New(4).RunChunked(ctx, nwN, chunk, a.kern.raceFn); err != nil {
+				t.Fatal(err)
+			}
+			got := make([]uint16, a.Cells())
+			a.finishRaces(captures, got)
+			a.powered = true
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("gen=%d chunk=%d words (of %d): cell %d votes %d, reference %d",
+						gen, chunk, nwN, i, got[i], want[i])
+				}
+			}
+			data, _ := a.Read()
+			if !bytes.Equal(data, wantData) {
+				t.Fatalf("gen=%d chunk=%d words: data plane differs from reference", gen, chunk)
+			}
+			if a.PowerOnCount() != ref.PowerOnCount() {
+				t.Fatalf("gen=%d chunk=%d words: counter %d, reference %d",
+					gen, chunk, a.PowerOnCount(), ref.PowerOnCount())
+			}
 		}
 	}
 }
