@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	ib "invisiblebits"
@@ -22,8 +23,8 @@ import (
 // deliberate, versioned decision (regenerate with IB_REGEN_GOLDEN=1).
 
 const (
-	goldenMessage = "invisible bits golden fixture: meet at dawn"
-	goldenPass    = "golden pre-shared secret"
+	goldenMessage  = "invisible bits golden fixture: meet at dawn"
+	goldenPass     = "golden pre-shared secret"
 	goldenModel    = "MSP432P401"
 	goldenSerial   = "golden-0001"
 	goldenSerialV3 = "golden-0003"
@@ -156,6 +157,24 @@ func TestRegenGoldenV3Image(t *testing.T) {
 	}
 }
 
+// TestRegenGoldenV4Image writes the version-4 fixture: the v3 fixture's
+// carrier re-saved by the current encoder (raw pool blob), so the v3
+// record must keep decoding from it. Like the v3 regeneration it leaves
+// every older fixture alone; run it alone (-run TestRegenGoldenV4Image)
+// so the v1/v2 writer above does not rewrite those files too.
+func TestRegenGoldenV4Image(t *testing.T) {
+	if os.Getenv("IB_REGEN_GOLDEN") == "" {
+		t.Skip("set IB_REGEN_GOLDEN=1 to regenerate testdata/golden fixtures")
+	}
+	var v4 bytes.Buffer
+	if err := loadGoldenDevice(t, "device-v3.ibdev").Save(&v4); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(goldenDir(), "device-v4.ibdev"), v4.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // decodeGolden loads the named image and reveals the golden record.
 func decodeGolden(t *testing.T, imageFile string) []byte {
 	return decodeGoldenRecord(t, imageFile, "record.json")
@@ -241,5 +260,64 @@ func TestGoldenV3ImageDecodes(t *testing.T) {
 	msg := decodeGoldenRecord(t, "device-v3.ibdev", "record-v3.json")
 	if string(msg) != goldenMessage {
 		t.Errorf("v3 image decoded %q, want %q", msg, goldenMessage)
+	}
+}
+
+// TestGoldenV4ImageDecodes: the v4 fixture (the v3 carrier re-saved
+// with a raw pool blob) decodes the v3 record to the golden plaintext.
+func TestGoldenV4ImageDecodes(t *testing.T) {
+	msg := decodeGoldenRecord(t, "device-v4.ibdev", "record-v3.json")
+	if string(msg) != goldenMessage {
+		t.Errorf("v4 image decoded %q, want %q", msg, goldenMessage)
+	}
+}
+
+// TestGoldenV3ResavedAsV4: loading the v3 fixture, saving it (as v4)
+// and loading that image back yields the same array state and the same
+// capture burst as the v3 load — the format change moves no bit — and
+// the re-saved image still reveals the v3 record.
+func TestGoldenV3ResavedAsV4(t *testing.T) {
+	v3 := loadGoldenDevice(t, "device-v3.ibdev")
+	var img bytes.Buffer
+	if err := v3.Save(&img); err != nil {
+		t.Fatal(err)
+	}
+	v4, err := ib.LoadDevice(bytes.NewReader(img.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(v4.SRAM.StateSnapshot(), v3.SRAM.StateSnapshot()) {
+		t.Fatal("v4 round trip changed the SRAM state")
+	}
+	want, err := v3.SRAM.CaptureVotes(5, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := v4.SRAM.CaptureVotes(5, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("v4 round trip changed the capture burst")
+	}
+
+	blob, err := os.ReadFile(filepath.Join(goldenDir(), "record-v3.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec ib.Record
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		t.Fatal(err)
+	}
+	dev, err := ib.LoadDevice(bytes.NewReader(img.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := ib.NewCarrier(dev).Reveal(&rec, goldenOptions())
+	if err != nil {
+		t.Fatalf("re-saved v3 image: reveal: %v", err)
+	}
+	if string(msg) != goldenMessage {
+		t.Errorf("re-saved v3 image decoded %q, want %q", msg, goldenMessage)
 	}
 }

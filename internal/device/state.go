@@ -30,11 +30,16 @@ var ErrCorruptImage = fmt.Errorf("device: image corrupt: %w", ioatomic.ErrSealMi
 
 // imageVersion guards the on-disk format. Version 2 added the refresh
 // maintenance ledger; version 3 records the SRAM noise-plane version
-// (sram.State.NoiseGen). Older images still load: a missing NoiseGen
-// decodes as zero, which RestoreState maps to Box–Muller — the only
-// sampler that existed when those images were written — so v1/v2
-// archives keep replaying bit-identical captures under the v2 engine.
-const imageVersion = 3
+// (sram.State.NoiseGen); version 4 carries the six aging pools as one
+// raw little-endian float32 blob (image.Pools) instead of six gob
+// float32 slices, which gob writes as byte-reversed varints one value
+// at a time. Older images still load: a missing NoiseGen decodes as
+// zero, which RestoreState maps to Box–Muller — the only sampler that
+// existed when those images were written — so v1/v2 archives keep
+// replaying bit-identical captures under the v2 engine. Save writes
+// only the current version; the gob-float decode of v1–v3 pools is
+// kept for archived images.
+const imageVersion = 4
 
 // image is the gob-serialized form of a device: enough to reconstruct
 // the silicon (model + serial regenerate the fingerprint) plus the
@@ -46,7 +51,10 @@ type image struct {
 	ModelName string
 	Serial    string
 	SRAMBytes int // instantiated size (may be a sample of the model size)
-	SRAM      sram.State
+	// SRAM is the array's mutable state. Since version 4 its pool
+	// slices are empty and Pools carries them (sram.PackedSnapshot).
+	SRAM  sram.State
+	Pools []byte
 	// FlashData is the digital Flash contents (the firmware travels with
 	// the chip). Flash *analog* state (wear, Vt levels) is not part of
 	// the image — the steganographic channel under study is the SRAM.
@@ -60,12 +68,14 @@ type image struct {
 // firmware is reloaded by whoever receives the device, exactly as in the
 // paper's workflow.
 func (d *Device) Save(w io.Writer) error {
+	state, pools := d.SRAM.PackedSnapshot()
 	img := image{
 		Version:    imageVersion,
 		ModelName:  d.Model.Name,
 		Serial:     d.Serial,
 		SRAMBytes:  d.SRAM.Bytes(),
-		SRAM:       d.SRAM.StateSnapshot(),
+		SRAM:       state,
+		Pools:      pools,
 		RefreshLog: d.RefreshLog(),
 	}
 	if d.Flash != nil {
@@ -85,10 +95,9 @@ func (d *Device) Save(w io.Writer) error {
 // previous image (if any) is replaced only after the new bytes are
 // durable, so a crash mid-save can never leave a torn image under the
 // final name, and a sha256 footer (ioatomic.Seal) lets every later load
-// prove the disk returned the bytes that were stored. The gob stream
-// itself is unchanged — Save(w) output is byte-identical to earlier
-// releases, and old readers skip the footer because gob decodes exactly
-// one value and ignores trailing bytes.
+// prove the disk returned the bytes that were stored. The payload is
+// exactly the Save(w) stream; readers skip the footer because gob
+// decodes exactly one value and ignores trailing bytes.
 func (d *Device) SaveFile(path string) error {
 	return d.SaveFileFS(nil, path)
 }
@@ -145,8 +154,13 @@ func Load(r io.Reader) (*Device, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.SRAM.RestoreState(img.SRAM); err != nil {
-		return nil, err
+	if img.Version >= 4 {
+		err = d.SRAM.RestorePacked(img.SRAM, img.Pools)
+	} else {
+		err = d.SRAM.RestoreState(img.SRAM)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("device: load: %w", err)
 	}
 	d.refreshLog = append(d.refreshLog, img.RefreshLog...)
 	if d.Flash != nil && img.FlashData != nil {

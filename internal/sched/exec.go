@@ -399,6 +399,11 @@ func (s *Scheduler) driveSlot(ctx context.Context, run *slotRun, p *passPlan) er
 	}
 	sl.record, sl.finalImage, sl.finalClock = rec, name, state.ClockHours
 	run.progressed = true
+	// The live device holds exactly the state the final image holds, so
+	// the baseline is probed here, beside the other slots' work, and the
+	// carrier is released: nothing drives a finished slot again.
+	sl.probeBaseline(sl.rig.Device(), c.spec.Captures)
+	sl.rig, sl.sess = nil, nil
 	return nil
 }
 
@@ -551,10 +556,12 @@ func (s *Scheduler) rerouteSlotLocked(c *campState, run *slotRun) bool {
 }
 
 // completeCampaignLocked seals a campaign whose every live slot minted
-// its record: probe the per-slot fresh-capture baselines from the
-// durable final images (deterministic regardless of crash history —
-// the images ARE the state), write result.json, then append the done
-// record that makes it all count.
+// its record: collect the per-slot fresh-capture baselines, write
+// result.json, then append the done record that makes it all count. A
+// slot worker probes its baseline on the live carrier when it finishes;
+// a slot whose encoded record was replayed from an earlier incarnation
+// is probed from its durable final image, which holds the same state,
+// so the baselines do not depend on crash history.
 func (s *Scheduler) completeCampaignLocked(c *campState) {
 	res := &campaign.Result{
 		Campaign:     c.id,
@@ -564,10 +571,6 @@ func (s *Scheduler) completeCampaignLocked(c *campState) {
 		Images:       make([]string, len(c.slots)),
 	}
 	var baselines []float64
-	captures := c.spec.Captures
-	if captures <= 0 {
-		captures = rig.DefaultHealthCaptures
-	}
 	for i, sl := range c.slots {
 		if !sl.live() {
 			continue
@@ -575,17 +578,19 @@ func (s *Scheduler) completeCampaignLocked(c *campState) {
 		res.Records[i] = sl.record
 		res.Images[i] = sl.finalImage
 		res.EquivalentHours += sl.finalClock
-		d, err := device.LoadFileFS(s.fsys, filepath.Join(c.dir, sl.finalImage))
-		if err != nil {
-			s.noteFatalLocked(fmt.Errorf("%w: campaign %q final image for baseline probe: %w", wal.ErrJournalIO, c.id, err))
+		if !sl.probed {
+			d, err := device.LoadFileFS(s.fsys, filepath.Join(c.dir, sl.finalImage))
+			if err != nil {
+				s.noteFatalLocked(fmt.Errorf("%w: campaign %q final image for baseline probe: %w", wal.ErrJournalIO, c.id, err))
+				return
+			}
+			sl.probeBaseline(d, c.spec.Captures)
+		}
+		if sl.baselineErr != nil {
+			s.failCampaignLocked(c, fmt.Errorf("sched: baseline probe for slot %d: %w", i, sl.baselineErr))
 			return
 		}
-		probe, err := rig.New(d).ProbeHealth(captures, 0)
-		if err != nil {
-			s.failCampaignLocked(c, fmt.Errorf("sched: baseline probe for slot %d: %w", i, err))
-			return
-		}
-		baselines = append(baselines, probe.MeanMargin)
+		baselines = append(baselines, sl.baseline)
 	}
 	resJSON, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -644,4 +649,8 @@ func (s *Scheduler) retireLocked(c *campState) {
 	ts := s.tenants[c.tenant]
 	ts.active--
 	ts.devices -= c.devsHeld
+	// Nothing drives a terminal campaign's carriers again.
+	for _, sl := range c.slots {
+		sl.rig, sl.sess = nil, nil
+	}
 }

@@ -266,6 +266,14 @@ type slotState struct {
 	finalImage string
 	finalClock float64
 
+	// baseline is the finished carrier's fresh-capture mean margin and
+	// baselineErr a failed probe (which fails only this campaign, at
+	// completion); probed marks both valid. A slot whose encoded record
+	// was replayed has not been probed yet.
+	baseline    float64
+	baselineErr error
+	probed      bool
+
 	// shownApplied and shownEncoded are the progress Campaign reports:
 	// copies of applied and record != nil, published under s.mu when a
 	// pass is applied and on replay. During a pass the worker writes
@@ -286,6 +294,17 @@ func (sl *slotState) newestCkpt() *SlotCheckpoint {
 		return &sl.ckpts[n-1]
 	}
 	return nil
+}
+
+// probeBaseline measures the finished carrier d: a burst of captures
+// (rig.DefaultHealthCaptures when ≤ 0) on a clean rig — no injector, the
+// baseline describes the carrier, not the bench it was encoded on.
+func (sl *slotState) probeBaseline(d *device.Device, captures int) {
+	probe, err := rig.New(d).ProbeHealth(captures, 0)
+	sl.baseline, sl.baselineErr, sl.probed = 0, err, true
+	if err == nil {
+		sl.baseline = probe.MeanMargin
+	}
 }
 
 func (sl *slotState) live() bool     { return len(sl.seg) > 0 }

@@ -230,7 +230,8 @@ func New(spec Spec) (*Array, error) {
 		data:      make([]byte, n/8),
 		biasPlane: make([]float32, n),
 		// Fresh pools hold zero shift, so the zeroed equivalent times
-		// are already valid.
+		// are already valid (synthesizeMismatch borrows t0Ref as
+		// scratch and leaves it zeroed).
 		t0Ref: make([]float64, n),
 		t1Ref: make([]float64, n),
 	}
@@ -300,40 +301,42 @@ func (a *Array) synthesizeMismatch(src *rng.Source) {
 	tiltR := (src.Float64()*2 - 1) * gAmp / float64(a.spec.Rows)
 	tiltC := (src.Float64()*2 - 1) * gAmp / float64(a.spec.Cols)
 
-	// First pass: compute the smooth field's mean so it can be centered.
-	// An uncentered gradient would bias the whole device's power-on state
+	// The smooth field is evaluated once per cell, into t0Ref: New
+	// allocates it zeroed and needs it zeroed on return, so it is free
+	// scratch. The mean is taken over the stored values in the same
+	// order, and the second pass centers each cell and clears its
+	// scratch entry — bit-identical to evaluating the field twice. An
+	// uncentered gradient would bias the whole device's power-on state
 	// away from 0.5, which real silicon does not show (Table 5's clean
 	// biases are 0.500–0.502).
+	smooth := a.t0Ref
 	var smoothMean float64
-	smoothAt := func(r, c int) float64 {
-		s := tiltR*float64(r) + tiltC*float64(c)
-		for _, w := range waves {
-			s += w.amp * math.Sin(w.kr*float64(r)+w.kc*float64(c)+w.phase)
-		}
-		return s
-	}
+	i := 0
 	for r := 0; r < a.spec.Rows; r++ {
 		for c := 0; c < a.spec.Cols; c++ {
-			smoothMean += smoothAt(r, c)
+			s := tiltR*float64(r) + tiltC*float64(c)
+			for _, w := range waves {
+				s += w.amp * math.Sin(w.kr*float64(r)+w.kc*float64(c)+w.phase)
+			}
+			smooth[i] = s
+			smoothMean += s
+			i++
 		}
 	}
 	smoothMean /= float64(a.n)
 
-	i := 0
-	for r := 0; r < a.spec.Rows; r++ {
-		for c := 0; c < a.spec.Cols; c++ {
-			smooth := smoothAt(r, c) - smoothMean
-			if a.spec.ExtremeFrac > 0 && src.Float64() < a.spec.ExtremeFrac {
-				mag := a.spec.ExtremeMinMv +
-					src.Float64()*(a.spec.ExtremeMaxMv-a.spec.ExtremeMinMv)
-				if src.Float64() < 0.5 {
-					mag = -mag
-				}
-				a.mismatch[i] = float32(mag + smooth)
-			} else {
-				a.mismatch[i] = float32(src.NormScaled(0, sigma) + smooth)
+	for i := range smooth {
+		centered := smooth[i] - smoothMean
+		smooth[i] = 0
+		if a.spec.ExtremeFrac > 0 && src.Float64() < a.spec.ExtremeFrac {
+			mag := a.spec.ExtremeMinMv +
+				src.Float64()*(a.spec.ExtremeMaxMv-a.spec.ExtremeMinMv)
+			if src.Float64() < 0.5 {
+				mag = -mag
 			}
-			i++
+			a.mismatch[i] = float32(mag + centered)
+		} else {
+			a.mismatch[i] = float32(src.NormScaled(0, sigma) + centered)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package sram
 
 import (
+	"errors"
+	"reflect"
 	"testing"
 
 	"invisiblebits/internal/analog"
@@ -158,5 +160,48 @@ func TestRestoreStateSeedMismatchInPackage(t *testing.T) {
 	b := mustNew(t, testSpec(108))
 	if err := b.RestoreState(a.StateSnapshot()); err == nil {
 		t.Fatal("foreign seed accepted")
+	}
+}
+
+// TestPackedSnapshotMatchesStateSnapshot: the packed form carries the
+// same state as StateSnapshot, an array restored from it is identical
+// to one restored from the slice form, and a blob of the wrong length
+// is rejected as ErrStateMismatch before anything is copied.
+func TestPackedSnapshotMatchesStateSnapshot(t *testing.T) {
+	a := mustNew(t, testSpec(109))
+	if _, err := a.PowerOn(25); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Fill(0xC3); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Stress(analog.Conditions{VoltageV: 3.3, TempC: 85}, 3); err != nil {
+		t.Fatal(err)
+	}
+	head, blob := a.PackedSnapshot()
+	if len(blob) != PoolsBytes(a.Cells()) || head.S0Perm != nil || head.S1Slow != nil {
+		t.Fatalf("packed snapshot: %d-byte blob, pool slices %v/%v", len(blob), head.S0Perm != nil, head.S1Slow != nil)
+	}
+	want := mustNew(t, testSpec(109))
+	if err := want.RestoreState(a.StateSnapshot()); err != nil {
+		t.Fatal(err)
+	}
+	got := mustNew(t, testSpec(109))
+	if err := got.RestorePacked(head, blob); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got.StateSnapshot(), want.StateSnapshot()) {
+		t.Fatal("packed restore differs from slice restore")
+	}
+	for _, n := range []int{0, len(blob) - 1, len(blob) + 4} {
+		short := make([]byte, n)
+		copy(short, blob)
+		fresh := mustNew(t, testSpec(109))
+		if err := fresh.RestorePacked(head, short); !errors.Is(err, ErrStateMismatch) {
+			t.Fatalf("%d-byte blob: %v, want ErrStateMismatch", n, err)
+		}
+		if fresh.Powered() {
+			t.Fatalf("%d-byte blob: rejected restore still adopted the snapshot", n)
+		}
 	}
 }

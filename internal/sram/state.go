@@ -1,8 +1,10 @@
 package sram
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 )
 
 // State is a serializable snapshot of an array's mutable condition: the
@@ -41,6 +43,14 @@ func (a *Array) StateSnapshot() State {
 		copy(out, src)
 		return out
 	}
+	s := a.stateHeader()
+	s.S0Perm, s.S0Fast, s.S0Slow = cp(a.s0Perm), cp(a.s0Fast), cp(a.s0Slow)
+	s.S1Perm, s.S1Fast, s.S1Slow = cp(a.s1Perm), cp(a.s1Fast), cp(a.s1Slow)
+	return s
+}
+
+// stateHeader is the snapshot without its aging pools.
+func (a *Array) stateHeader() State {
 	data := make([]byte, len(a.data))
 	copy(data, a.data)
 	return State{
@@ -50,9 +60,35 @@ func (a *Array) StateSnapshot() State {
 		PowerOns: a.powerOns,
 		NoiseGen: a.spec.NoiseGen,
 		Data:     data,
-		S0Perm:   cp(a.s0Perm), S0Fast: cp(a.s0Fast), S0Slow: cp(a.s0Slow),
-		S1Perm: cp(a.s1Perm), S1Fast: cp(a.s1Fast), S1Slow: cp(a.s1Slow),
 	}
+}
+
+// PoolsBytes is the length of the packed aging-pool blob of an array of
+// cells cells: six float32 pools of four bytes per cell.
+func PoolsBytes(cells int) int { return 6 * 4 * cells }
+
+// pools lists the six aging pools in State field order.
+func (a *Array) pools() [6][]float32 {
+	return [6][]float32{a.s0Perm, a.s0Fast, a.s0Slow, a.s1Perm, a.s1Fast, a.s1Slow}
+}
+
+// PackedSnapshot is StateSnapshot with the six aging pools packed into
+// one little-endian float32 blob, in State field order (S0Perm, S0Fast,
+// S0Slow, S1Perm, S1Fast, S1Slow); the returned State's pool slices are
+// nil. This is the device image's wire form since image format v4: a
+// byte slice encodes and decodes as one copy, where six float32 slices
+// encode value by value.
+func (a *Array) PackedSnapshot() (State, []byte) {
+	blob := make([]byte, PoolsBytes(a.n))
+	off := 0
+	for _, p := range a.pools() {
+		b := blob[off : off+4*len(p)]
+		for j, v := range p {
+			binary.LittleEndian.PutUint32(b[4*j:], math.Float32bits(v))
+		}
+		off += len(b)
+	}
+	return a.stateHeader(), blob
 }
 
 // ErrStateMismatch is returned when a state snapshot does not belong to
@@ -65,10 +101,40 @@ var ErrStateMismatch = errors.New("sram: state snapshot belongs to a different a
 // zero) switches the array to Box–Muller regardless of how it was
 // constructed, so archived captures replay bit-identically.
 func (a *Array) RestoreState(s State) error {
+	return a.restore(s, len(s.S0Perm) == a.n, func() {
+		copy(a.s0Perm, s.S0Perm)
+		copy(a.s0Fast, s.S0Fast)
+		copy(a.s0Slow, s.S0Slow)
+		copy(a.s1Perm, s.S1Perm)
+		copy(a.s1Fast, s.S1Fast)
+		copy(a.s1Slow, s.S1Slow)
+	})
+}
+
+// RestorePacked is RestoreState for a PackedSnapshot: s's pool slices
+// are ignored and the pools are unpacked from blob, which must hold
+// exactly PoolsBytes(Cells()) bytes (otherwise ErrStateMismatch).
+func (a *Array) RestorePacked(s State, blob []byte) error {
+	return a.restore(s, len(blob) == PoolsBytes(a.n), func() {
+		off := 0
+		for _, p := range a.pools() {
+			b := blob[off : off+4*len(p)]
+			for j := range p {
+				p[j] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*j:]))
+			}
+			off += len(b)
+		}
+	})
+}
+
+// restore validates s against the array and, when it fits, lets fill
+// copy the pools in and adopts the rest of the snapshot. poolsFit
+// reports whether the caller's pool source matches the array's size.
+func (a *Array) restore(s State, poolsFit bool, fill func()) error {
 	if s.Seed != a.spec.Seed {
 		return fmt.Errorf("%w: seed %d vs %d", ErrStateMismatch, s.Seed, a.spec.Seed)
 	}
-	if len(s.Data) != len(a.data) || len(s.S0Perm) != a.n {
+	if len(s.Data) != len(a.data) || !poolsFit {
 		return fmt.Errorf("%w: geometry differs", ErrStateMismatch)
 	}
 	gen := s.NoiseGen
@@ -80,12 +146,7 @@ func (a *Array) RestoreState(s State) error {
 		return fmt.Errorf("sram: snapshot uses unknown noise-generation version %d", s.NoiseGen)
 	}
 	copy(a.data, s.Data)
-	copy(a.s0Perm, s.S0Perm)
-	copy(a.s0Fast, s.S0Fast)
-	copy(a.s0Slow, s.S0Slow)
-	copy(a.s1Perm, s.S1Perm)
-	copy(a.s1Fast, s.S1Fast)
-	copy(a.s1Slow, s.S1Slow)
+	fill()
 	a.powered = s.Powered
 	a.remanent = s.Remanent
 	a.powerOns = s.PowerOns
